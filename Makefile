@@ -13,15 +13,18 @@ test:
 # tier1 is the CI gate: formatting, build, vet, the aurora analyzers,
 # tests, race on the whole tree. Explicit -timeout values bound a hung
 # sweep instead of relying on the go test default, so CI fails with a
-# goroutine dump rather than stalling.
+# goroutine dump rather than stalling. perfbench is its own module (root
+# ./... never compiles it), so its vet and tests run separately: they
+# guard the harness and resultstore names the benchmark builds against.
 tier1: fmt build lint
 	$(GO) vet ./...
 	$(GO) test -timeout 10m ./...
 	$(GO) test -race -short -timeout 10m ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test -race -timeout 10m ./...
 
 # lint runs the repo's own go/analysis suite (hotpathalloc, determinism,
-# panicsite, probeguard, keyflow, ctxflow, faultpath, waiver, plus the
-# vendored stock vet passes — see docs/LINTING.md) over the whole module
+# panicsite, probeguard, keyflow, ctxflow, faultpath, waiver — see
+# docs/LINTING.md; the stock vet passes run under go vet) over the whole module
 # via the vet driver, so facts flow across packages exactly as in go vet:
 # keyflow's identity facts are what let core.Config.BPred prove coverage
 # through bpred.Config.Key. `bin/aurora-lint -sarif out.sarif ./...`

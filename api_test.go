@@ -1,8 +1,12 @@
 package aurora
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aurora/internal/harness"
 )
 
 // Direct tests of the public API surface (the integration tests exercise it
@@ -118,5 +122,59 @@ func TestReportExtras(t *testing.T) {
 	}
 	if rep.DualIssueRate() <= 0 || rep.DualIssueRate() > 1 {
 		t.Errorf("dual issue rate %f", rep.DualIssueRate())
+	}
+}
+
+// TestRootAPIMatchesRunner pins the one job path: the root API's Run*Context
+// functions and the experiment Runner share the trace adapter and the fault
+// boundaries, so each returns exactly the other's result — exact, scheduled
+// and sampled, on kernels from both suites and on two models.
+func TestRootAPIMatchesRunner(t *testing.T) {
+	ctx := context.Background()
+	const budget = 60_000
+	p := SampleParams{WarmUp: 20_000, Interval: 10_000, Window: 2_000}
+	r := NewRunner(2)
+	for _, name := range []string{"espresso", "compress", "alvinn"} {
+		w, err := GetWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{Small(), Baseline()} {
+			direct, err := RunContext(ctx, cfg, w, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaRunner, err := r.Run(ctx, cfg, w, harness.Options{Budget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, viaRunner) {
+				t.Errorf("%s/%s: RunContext and Runner.Run differ", name, cfg.Name)
+			}
+
+			direct, err = RunScheduledContext(ctx, cfg, w, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaRunner, err = r.Run(ctx, cfg, w, harness.Options{Budget: budget, Scheduled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, viaRunner) {
+				t.Errorf("%s/%s: RunScheduledContext and scheduled Runner.Run differ", name, cfg.Name)
+			}
+
+			est, err := RunSampledContext(ctx, cfg, w, budget, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estRunner, err := r.RunSampled(ctx, cfg, w, harness.Options{Budget: budget}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(est, estRunner) {
+				t.Errorf("%s/%s: RunSampledContext and Runner.RunSampled differ", name, cfg.Name)
+			}
+		}
 	}
 }

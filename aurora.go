@@ -23,7 +23,6 @@ package aurora
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 
 	"aurora/internal/bpred"
 	"aurora/internal/core"
@@ -161,77 +160,6 @@ func IntegerSuite() []*Workload { return workloads.Integer() }
 // FPSuite returns the nine SPECfp92 stand-ins in the paper's order.
 func FPSuite() []*Workload { return workloads.FP() }
 
-// machineStream adapts a running functional VM to a trace stream, so the
-// timing simulator replays execution without materialising the whole trace.
-type machineStream struct {
-	m      *vm.Machine
-	budget uint64
-	n      uint64
-	err    error
-}
-
-func (s *machineStream) Next() (trace.Record, bool) {
-	if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
-		return trace.Record{}, false
-	}
-	rec, err := s.m.Step()
-	if err != nil {
-		// A fault or clean halt ends the stream; faults are reported.
-		// (Step marks the machine halted on faults too, so the clean end
-		// must be identified by the error, not by Halted().)
-		if !vm.IsHalt(err) {
-			s.err = err
-		}
-		return trace.Record{}, false
-	}
-	s.n++
-	return rec, true
-}
-
-func (s *machineStream) Err() error { return s.err }
-
-// NextBatch implements trace.BatchStream: it fills buf with up to len(buf)
-// records in one call, keeping the VM's step loop on concrete types and
-// amortising the stream interface dispatch across the batch.
-func (s *machineStream) NextBatch(buf []trace.Record) int {
-	n := 0
-	for n < len(buf) {
-		if s.err != nil || s.m.Halted() || (s.budget > 0 && s.n >= s.budget) {
-			break
-		}
-		rec, err := s.m.Step()
-		if err != nil {
-			if !vm.IsHalt(err) {
-				s.err = err
-			}
-			break
-		}
-		s.n++
-		buf[n] = rec
-		n++
-	}
-	return n
-}
-
-// cyclesOf reports how far a processor got, tolerating the nil processor of
-// a construction-time panic.
-func cyclesOf(p *core.Processor) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.Cycles()
-}
-
-// simJob builds the fault identity for a root-API run.
-func simJob(cfg Config, w *Workload, scheduled bool) simfault.Job {
-	return simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: cfg.Fingerprint(),
-		Workload:    w.Name,
-		Scheduled:   scheduled,
-	}
-}
-
 // Run executes a workload on the given machine configuration. maxInstr
 // bounds the dynamic instruction count (0 uses the workload's default
 // budget, which covers the kernel's full natural run).
@@ -253,39 +181,12 @@ func RunObserved(cfg Config, w *Workload, maxInstr uint64, sink obs.Sink) (*Repo
 	return RunObservedContext(context.Background(), cfg, w, maxInstr, sink)
 }
 
-// RunObservedContext is RunObserved under a context. It is also the root
-// API's fault boundary: a panic inside machine construction or the timing
-// core comes back as a *SimFault instead of unwinding the caller.
-func RunObservedContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, sink obs.Sink) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, false), cyclesOf(p), debug.Stack())
-		}
-	}()
-	m, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4 // headroom: kernels halt on their own
-	}
-	stream := &machineStream{m: m, budget: maxInstr}
-	p, err = core.NewProcessor(cfg, stream)
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		p.Attach(sink)
-	}
-	rep, err = p.RunContext(ctx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s: %w", w.Name, cfg.Name, err)
-	}
-	if serr := stream.Err(); serr != nil {
-		return nil, fmt.Errorf("aurora: %s execution fault: %w", w.Name, serr)
-	}
-	return rep, nil
+// RunObservedContext is RunObserved under a context. A panic inside machine
+// construction or the timing core comes back as a *SimFault instead of
+// unwinding the caller: the run goes through the experiment runner's fault
+// boundary.
+func RunObservedContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, sink obs.Sink) (*Report, error) {
+	return harness.Simulate(ctx, cfg, w, harness.Options{Budget: maxInstr}, sink)
 }
 
 // Simulation is an incrementally-stepped timing run: the same machine Run
@@ -293,7 +194,7 @@ func RunObservedContext(ctx context.Context, cfg Config, w *Workload, maxInstr u
 // processor up and then time the steady-state cycle loop in isolation.
 type Simulation struct {
 	p      *core.Processor
-	stream *machineStream
+	stream *vm.Stream
 	done   <-chan struct{} // nil without a cancellable context
 	ctx    context.Context
 	err    error
@@ -320,7 +221,7 @@ func NewSimulationContext(ctx context.Context, cfg Config, w *Workload, maxInstr
 	if maxInstr == 0 {
 		maxInstr = w.DefaultBudget * 4
 	}
-	stream := &machineStream{m: m, budget: maxInstr}
+	stream := vm.NewStream(m, maxInstr)
 	p, err := core.NewProcessor(cfg, stream)
 	if err != nil {
 		return nil, err
@@ -362,17 +263,13 @@ func (s *Simulation) Instructions() uint64 { return s.p.Instructions() }
 func (s *Simulation) FastForward(n uint64) (uint64, error) {
 	var skipped uint64
 	for skipped < n {
-		if s.stream.m.Halted() || (s.stream.budget > 0 && s.stream.n >= s.stream.budget) {
+		rec, ok := s.stream.Next()
+		if !ok {
+			if err := s.stream.Err(); err != nil {
+				return skipped, fmt.Errorf("aurora: fast-forward execution fault: %w", err)
+			}
 			break
 		}
-		rec, err := s.stream.m.Step()
-		if err != nil {
-			if vm.IsHalt(err) {
-				break
-			}
-			return skipped, fmt.Errorf("aurora: fast-forward execution fault: %w", err)
-		}
-		s.stream.n++
 		skipped++
 		s.p.WarmAccess(core.WarmFetch, rec.PC)
 		if rec.SI.Class.IsMem() {
@@ -416,20 +313,8 @@ func RunSampled(cfg Config, w *Workload, maxInstr uint64, p SampleParams) (*Samp
 
 // RunSampledContext is RunSampled under a context, with the same fault
 // boundary as RunObservedContext.
-func RunSampledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, p SampleParams) (rep *SampledReport, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, false), 0, debug.Stack())
-		}
-	}()
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4
-	}
-	rep, err = sample.Run(ctx, cfg, w, maxInstr, p)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s (sampled): %w", w.Name, cfg.Name, err)
-	}
-	return rep, nil
+func RunSampledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64, p SampleParams) (*SampledReport, error) {
+	return harness.SimulateSampled(ctx, cfg, w, maxInstr, p)
 }
 
 // RunScheduled is Run with the §6 "better compiler scheduling" pass: each
@@ -442,30 +327,8 @@ func RunScheduled(cfg Config, w *Workload, maxInstr uint64) (*Report, error) {
 
 // RunScheduledContext is RunScheduled under a context, with the same fault
 // boundary as RunObservedContext.
-func RunScheduledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, simJob(cfg, w, true), cyclesOf(p), debug.Stack())
-		}
-	}()
-	m, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	if maxInstr == 0 {
-		maxInstr = w.DefaultBudget * 4
-	}
-	stream := &machineStream{m: m, budget: maxInstr}
-	p, err = core.NewProcessor(cfg, trace.NewReschedule(stream))
-	if err != nil {
-		return nil, err
-	}
-	rep, err = p.RunContext(ctx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("aurora: %s on %s (scheduled): %w", w.Name, cfg.Name, err)
-	}
-	return rep, nil
+func RunScheduledContext(ctx context.Context, cfg Config, w *Workload, maxInstr uint64) (*Report, error) {
+	return harness.Simulate(ctx, cfg, w, harness.Options{Budget: maxInstr, Scheduled: true}, nil)
 }
 
 // RunTrace executes the timing model over an arbitrary trace stream
@@ -476,19 +339,8 @@ func RunTrace(cfg Config, stream trace.Stream) (*Report, error) {
 
 // RunTraceContext is RunTrace under a context, with the panic fault boundary
 // (the trace has no workload name; the fault identifies the configuration).
-func RunTraceContext(ctx context.Context, cfg Config, stream trace.Stream) (rep *Report, err error) {
-	var p *core.Processor
-	defer func() {
-		if rec := recover(); rec != nil {
-			job := simfault.Job{Config: cfg.Name, Fingerprint: cfg.Fingerprint(), Workload: "trace"}
-			rep, err = nil, simfault.FromPanic(rec, job, cyclesOf(p), debug.Stack())
-		}
-	}()
-	p, err = core.NewProcessor(cfg, stream)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, 0)
+func RunTraceContext(ctx context.Context, cfg Config, stream trace.Stream) (*Report, error) {
+	return harness.SimulateTrace(ctx, cfg, stream)
 }
 
 // Runner is the parallel experiment engine: it schedules simulation jobs

@@ -58,9 +58,9 @@ var bpredSweepSpec = []string{
 	"tage:tables=4,entries=1024,tag=8",
 }
 
-// BPredSweepConfigs returns the predictor design points of the sweep, from
+// bpredSweepConfigs returns the predictor design points of the sweep, from
 // the free-folding baseline through static, bimodal, gshare and TAGE.
-func BPredSweepConfigs() ([]bpred.Config, []string, error) {
+func bpredSweepConfigs() ([]bpred.Config, []string, error) {
 	cfgs := make([]bpred.Config, len(bpredSweepSpec))
 	for i, s := range bpredSweepSpec {
 		c, err := bpred.Parse(s)
@@ -76,7 +76,7 @@ func BPredSweepConfigs() ([]bpred.Config, []string, error) {
 // config (the baseline in the standard figure) over both workload suites.
 func PredictorSweep(ctx context.Context, r *Runner, model core.Config, opts Options) (*BPredSweepResult, error) {
 	opts = opts.sweep()
-	points, specs, err := BPredSweepConfigs()
+	points, specs, err := bpredSweepConfigs()
 	if err != nil {
 		return nil, err
 	}

@@ -83,14 +83,16 @@ func effectiveBudget(w *workloads.Workload, opts Options) uint64 {
 	return w.DefaultBudget * 4
 }
 
-// run executes one workload on one configuration, optionally streaming
-// observability data to sink (nil keeps the zero-cost path). It is the
-// fault boundary: a panic anywhere in machine construction or the timing
-// core is recovered into a typed *simfault.Fault carrying the job identity,
-// the simulated cycle it fired at, and the stack — the job fails, the
-// process and every other job survive. cycles reports how far the
+// run replays one exact job's trace, the stream open returns, through one
+// configuration's timing core, optionally streaming observability data to
+// sink (nil keeps the zero-cost path). It is the fault boundary of every
+// exact and scheduled run, through a Runner or the root API: a panic
+// anywhere in opening the trace (machine construction included) or in the
+// timing core is recovered into a typed *simfault.Fault carrying the job
+// identity, the simulated cycle it fired at, and the stack — the job fails,
+// the process and every other job survive. cycles reports how far the
 // simulation got, for deadline-fault annotation.
-func run(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sink obs.Sink, job simfault.Job) (rep *core.Report, cycles uint64, err error) {
+func run(ctx context.Context, cfg core.Config, open func() (trace.Stream, error), sink obs.Sink, job simfault.Job) (rep *core.Report, cycles uint64, err error) {
 	var p *core.Processor
 	defer func() {
 		if p != nil {
@@ -100,14 +102,9 @@ func run(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Optio
 			rep, err = nil, simfault.FromPanic(rec, job, cycles, debug.Stack())
 		}
 	}()
-	m, err := w.NewMachine()
+	src, err := open()
 	if err != nil {
 		return nil, 0, err
-	}
-	stream := &machineStream{m: m, budget: effectiveBudget(w, opts)}
-	var src trace.Stream = stream
-	if opts.Scheduled {
-		src = trace.NewReschedule(stream)
 	}
 	p, err = core.NewProcessor(cfg, src)
 	if err != nil {
@@ -118,36 +115,54 @@ func run(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Optio
 	}
 	rep, err = p.RunContext(ctx, 0)
 	if err != nil {
-		return nil, p.Cycles(), fmt.Errorf("harness: %s on %s: %w", w.Name, cfg.Name, err)
+		return nil, p.Cycles(), fmt.Errorf("harness: %s on %s: %w", job.Workload, job.Config, err)
 	}
 	return rep, p.Cycles(), nil
 }
 
-type machineStream struct {
-	m      *vm.Machine
-	budget uint64
-	n      uint64
-	err    error
-}
-
-func (s *machineStream) Next() (trace.Record, bool) {
-	if s.err != nil || s.m.Halted() || s.n >= s.budget {
-		return trace.Record{}, false
-	}
-	rec, err := s.m.Step()
-	if err != nil {
-		// A clean halt ends the stream; a fault is recorded so the run
-		// fails instead of reporting a truncated trace's CPI as success.
-		if !vm.IsHalt(err) {
-			s.err = err
+// workloadTrace returns the trace opener of one exact job: the workload's
+// functional VM behind the batched vm.Stream, list-scheduled by the §6 pass
+// when opts.Scheduled is set.
+func workloadTrace(w *workloads.Workload, opts Options) func() (trace.Stream, error) {
+	return func() (trace.Stream, error) {
+		m, err := w.NewMachine()
+		if err != nil {
+			return nil, err
 		}
-		return trace.Record{}, false
+		var src trace.Stream = vm.NewStream(m, effectiveBudget(w, opts))
+		if opts.Scheduled {
+			src = trace.NewReschedule(src)
+		}
+		return src, nil
 	}
-	s.n++
-	return rec, true
 }
 
-func (s *machineStream) Err() error { return s.err }
+// jobOf builds the fault identity of one job.
+func jobOf(cfg core.Config, fingerprint, workload string, scheduled bool) simfault.Job {
+	return simfault.Job{
+		Config:      cfg.Name,
+		Fingerprint: fingerprint,
+		Workload:    workload,
+		Scheduled:   scheduled,
+	}
+}
+
+// Simulate runs one exact job (scheduled under opts.Scheduled) outside any
+// Runner: no pool, memo or store, the same fault boundary. A zero
+// opts.Budget selects the workload's default budget. It is the root API's
+// Run*Context path.
+func Simulate(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, sink obs.Sink) (*core.Report, error) {
+	rep, _, err := run(ctx, cfg, workloadTrace(w, opts), sink, jobOf(cfg, cfg.Fingerprint(), w.Name, opts.Scheduled))
+	return rep, err
+}
+
+// SimulateTrace runs the timing core over an arbitrary trace stream under
+// the same fault boundary; the fault names the workload "trace".
+func SimulateTrace(ctx context.Context, cfg core.Config, stream trace.Stream) (*core.Report, error) {
+	open := func() (trace.Stream, error) { return stream, nil }
+	rep, _, err := run(ctx, cfg, open, nil, jobOf(cfg, cfg.Fingerprint(), "trace", false))
+	return rep, err
+}
 
 // faultCell classifies a job error under the sweep policy: in keep-going
 // mode (the default) a *simfault.Fault is data — the caller marks that cell

@@ -68,15 +68,10 @@ type Runner struct {
 	// property of the job. Set it before submitting jobs.
 	JobTimeout time.Duration
 
-	mu          sync.Mutex
-	memo        map[jobKey]*memoEntry
-	sampledMemo map[jobKey]*sampledEntry
-	cpCache     *sample.CheckpointCache
-	hits        uint64
-	misses      uint64
-	simulated   uint64
-	storeHits   uint64
-	storeMisses uint64
+	mu      sync.Mutex
+	memo    map[jobKey]*memoEntry
+	cpCache *sample.CheckpointCache
+	stats   RunnerStats
 }
 
 // Store is the persistent result layer a Runner can sit on top of:
@@ -114,18 +109,26 @@ type jobKey struct {
 	sample    string
 }
 
-// memoEntry holds one job's result. The goroutine that inserts the entry
-// computes it and closes done; later requesters wait on done (or their own
-// cancellation) and share the result. A panicking job completes its entry
-// with the recovered *simfault.Fault — the earlier sync.Once design counted
-// a panicking computation as returned, so every later hit of that key read
-// a poisoned nil, nil entry. A computation aborted by its own caller's
-// cancellation is withdrawn from the table instead, so the next requester
-// retries under a live context.
+// memoEntry holds one job's result, exact or sampled (jobKey.sample tells
+// the kinds apart, so one table serves both). The goroutine that inserts
+// the entry computes it and closes done; later requesters wait on done (or
+// their own cancellation) and share the result. A panicking job completes
+// its entry with the recovered *simfault.Fault — the earlier sync.Once
+// design counted a panicking computation as returned, so every later hit of
+// that key read a poisoned nil, nil entry. A computation aborted by its own
+// caller's cancellation is withdrawn from the table instead, so the next
+// requester retries under a live context.
 type memoEntry struct {
 	done chan struct{}
-	rep  *core.Report
+	val  any // *core.Report or *sample.Report, by key kind
 	err  error
+}
+
+// jobStore is the persistent layer as one job sees it: the Store or
+// SampledStore method pair bound to the job's coordinates.
+type jobStore[T any] interface {
+	Lookup() (T, *simfault.Fault, bool)
+	Save(T, *simfault.Fault) error
 }
 
 // NewRunner returns a runner with the given worker-pool size;
@@ -166,13 +169,14 @@ type RunnerStats struct {
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RunnerStats{
-		Hits:        r.hits,
-		Misses:      r.misses,
-		Simulated:   r.simulated,
-		StoreHits:   r.storeHits,
-		StoreMisses: r.storeMisses,
-	}
+	return r.stats
+}
+
+// count increments one of the runner's counters.
+func (r *Runner) count(c *uint64) {
+	r.mu.Lock()
+	*c++
+	r.mu.Unlock()
 }
 
 // canceled reports whether err is a context cancellation or deadline error —
@@ -199,29 +203,81 @@ func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload
 		budget:    opts.Budget,
 		scheduled: opts.Scheduled,
 	}
+	t := task[*core.Report]{key: key, job: jobOf(cfg, key.config, key.workload, key.scheduled)}
+	if r.Store != nil {
+		t.store = exactStore{r.Store, key}
+	}
+	t.simulate = func(jctx context.Context) (*core.Report, uint64, error) {
+		var sink obs.Sink
+		if r.Observe != nil {
+			sink = r.Observe(JobInfo{
+				ConfigName:  cfg.Name,
+				Fingerprint: key.config,
+				Workload:    key.workload,
+				Budget:      key.budget,
+				Scheduled:   key.scheduled,
+			})
+		}
+		return run(jctx, cfg, workloadTrace(w, opts), sink, t.job)
+	}
+	return t.memoize(ctx, r)
+}
+
+// exactStore is a Store bound to one exact job's coordinates.
+type exactStore struct {
+	st  Store
+	key jobKey
+}
+
+func (s exactStore) Lookup() (*core.Report, *simfault.Fault, bool) {
+	return s.st.Lookup(s.key.config, s.key.workload, s.key.budget, s.key.scheduled)
+}
+
+func (s exactStore) Save(rep *core.Report, f *simfault.Fault) error {
+	return s.st.Save(s.key.config, s.key.workload, s.key.budget, s.key.scheduled, rep, f)
+}
+
+// task is one job as the shared path sees it, exact (T *core.Report) or
+// sampled (T *sample.Report): what differs between the kinds is only the
+// persistent layer and the simulate step each supplies.
+type task[T any] struct {
+	key   jobKey
+	job   simfault.Job
+	store jobStore[T] // nil when the runner has no store for this kind
+	// simulate runs the admitted job under the job's context, reporting
+	// how far the timing core got for deadline faults.
+	simulate func(context.Context) (T, uint64, error)
+}
+
+// memoize is the single-flight memo every job goes through: the first
+// requester of a key resolves it, concurrent and later requesters share
+// the answer.
+func (t task[T]) memoize(ctx context.Context, r *Runner) (T, error) {
+	var zero T
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return zero, err
 		}
 		r.mu.Lock()
-		e, ok := r.memo[key]
+		e, ok := r.memo[t.key]
 		if !ok {
 			e = &memoEntry{done: make(chan struct{})}
-			r.memo[key] = e
-			r.misses++
+			r.memo[t.key] = e
+			r.stats.Misses++
 			r.mu.Unlock()
-			e.rep, e.err = r.resolve(ctx, cfg, w, opts, key)
-			if canceled(e.err) {
+			v, err := t.resolve(ctx, r)
+			e.val, e.err = v, err
+			if canceled(err) {
 				// The attempt died with its caller, not on its own merits:
 				// withdraw the entry so the next requester retries.
 				r.mu.Lock()
-				if r.memo[key] == e {
-					delete(r.memo, key)
+				if r.memo[t.key] == e {
+					delete(r.memo, t.key)
 				}
 				r.mu.Unlock()
 			}
 			close(e.done)
-			return e.rep, e.err
+			return v, err
 		}
 		r.mu.Unlock()
 		select {
@@ -232,73 +288,73 @@ func (r *Runner) Run(ctx context.Context, cfg core.Config, w *workloads.Workload
 				// cancellation retries and is counted once, by whichever
 				// branch finally answers it, instead of as a hit plus a
 				// hit-or-miss again.
-				r.mu.Lock()
-				r.hits++
-				r.mu.Unlock()
-				return e.rep, e.err
+				r.count(&r.stats.Hits)
+				return e.val.(T), e.err
 			}
 			// The computing caller was cancelled; loop and retry under our
 			// own context (the withdrawn entry no longer blocks the key).
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		}
 	}
 }
 
 // resolve answers one memo miss: disk first when a store is attached, then
-// simulation, writing persistable results back. It runs inside the key's
-// memo entry, so both layers inherit the memo's single-flight guarantee.
-func (r *Runner) resolve(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, key jobKey) (*core.Report, error) {
-	if r.Store != nil {
-		if rep, f, ok := r.Store.Lookup(key.config, key.workload, key.budget, key.scheduled); ok {
-			r.mu.Lock()
-			r.storeHits++
-			r.mu.Unlock()
+// simulation, writing persistable results back the moment it returns. It
+// runs inside the key's memo entry, so both layers inherit the memo's
+// single-flight guarantee. The lookup stays outside the worker pool: it is
+// cheap file I/O, not simulation.
+func (t task[T]) resolve(ctx context.Context, r *Runner) (T, error) {
+	if t.store != nil {
+		if v, f, ok := t.store.Lookup(); ok {
+			r.count(&r.stats.StoreHits)
 			if f != nil {
-				return nil, f
+				var zero T
+				return zero, f
 			}
-			return rep, nil
+			return v, nil
 		}
-		r.mu.Lock()
-		r.storeMisses++
-		r.mu.Unlock()
+		r.count(&r.stats.StoreMisses)
 	}
-	rep, err := r.compute(ctx, cfg, w, opts, key)
-	if r.Store != nil && !r.StoreReadOnly {
-		r.persist(key, rep, err)
+	v, err := t.compute(ctx, r)
+	if t.store != nil && !r.StoreReadOnly {
+		t.persist(v, err)
 	}
-	return rep, err
+	return v, err
 }
 
 // persist writes a finished job back to the store when its outcome is a
-// deterministic property of the job: a healthy report, or an invariant-
+// deterministic property of the job: a healthy result, or an invariant-
 // panic fault. Deadline faults depend on host load and plain errors
 // (VM faults, I/O, cancellation) have no canonical serialized form, so
 // neither is written — they are recomputed by each process instead. A
 // failed write never fails the job; the store's own counters record it.
-func (r *Runner) persist(key jobKey, rep *core.Report, err error) {
+func (t task[T]) persist(v T, err error) {
 	if err == nil {
 		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = r.Store.Save(key.config, key.workload, key.budget, key.scheduled, rep, nil)
+		_ = t.store.Save(v, nil)
 		return
 	}
 	var f *simfault.Fault
 	if errors.As(err, &f) && f.Persistable() {
+		var zero T
 		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = r.Store.Save(key.config, key.workload, key.budget, key.scheduled, nil, f)
+		_ = t.store.Save(zero, f)
 	}
 }
 
 // compute simulates one distinct job: pool admission, per-job deadline,
-// observability sink, and the fault boundary (via run's recover).
-func (r *Runner) compute(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, key jobKey) (*core.Report, error) {
+// and simulate — whose own recover (run or runSampled) is the fault
+// boundary.
+func (t task[T]) compute(ctx context.Context, r *Runner) (T, error) {
 	// Admission: a queued job waits for a pool slot unless the sweep is
 	// cancelled first — this is where fail-fast studies stop scheduling
 	// work that has not started yet.
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		var zero T
+		return zero, ctx.Err()
 	}
 	defer func() { <-r.sem }()
 
@@ -308,33 +364,15 @@ func (r *Runner) compute(ctx context.Context, cfg core.Config, w *workloads.Work
 		jctx, cancel = context.WithTimeout(ctx, r.JobTimeout)
 		defer cancel()
 	}
-	var sink obs.Sink
-	if r.Observe != nil {
-		sink = r.Observe(JobInfo{
-			ConfigName:  cfg.Name,
-			Fingerprint: key.config,
-			Workload:    key.workload,
-			Budget:      key.budget,
-			Scheduled:   key.scheduled,
-		})
-	}
-	job := simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: key.config,
-		Workload:    key.workload,
-		Scheduled:   key.scheduled,
-	}
-	r.mu.Lock()
-	r.simulated++
-	r.mu.Unlock()
-	rep, cycles, err := run(jctx, cfg, w, opts, sink, job)
+	r.count(&r.stats.Simulated)
+	v, cycles, err := t.simulate(jctx)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		// The job's own wall-clock budget expired while the surrounding
 		// sweep is still live: a property of the job, recorded as a typed
 		// fault and memoized like any other bad design point.
-		err = simfault.Deadline(job, cycles, r.JobTimeout)
+		err = simfault.Deadline(t.job, cycles, r.JobTimeout)
 	}
-	return rep, err
+	return v, err
 }
 
 // RunWorkload is Run with the root-package budget convention:

@@ -29,14 +29,6 @@ type SampledStore interface {
 	SaveSampled(fingerprint, workload string, budget uint64, sampleKey string, rep *sample.Report, fault *simfault.Fault) error
 }
 
-// sampledEntry is the sampled twin of memoEntry, with the same
-// single-flight and withdraw-on-cancellation protocol.
-type sampledEntry struct {
-	done chan struct{}
-	rep  *sample.Report
-	err  error
-}
-
 // RunSampled executes one sampled estimate of a workload on one
 // configuration under the worker pool, memoized like Run. The §6
 // scheduling pass is incompatible with sampling (the reschedule operates on
@@ -57,137 +49,71 @@ func (r *Runner) RunSampled(ctx context.Context, cfg core.Config, w *workloads.W
 		budget:   opts.Budget,
 		sample:   p.Key(),
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		if r.sampledMemo == nil {
-			r.sampledMemo = map[jobKey]*sampledEntry{}
-		}
-		e, ok := r.sampledMemo[key]
-		if !ok {
-			e = &sampledEntry{done: make(chan struct{})}
-			r.sampledMemo[key] = e
-			r.misses++
-			r.mu.Unlock()
-			e.rep, e.err = r.resolveSampled(ctx, cfg, w, opts, p, key)
-			if canceled(e.err) {
-				r.mu.Lock()
-				if r.sampledMemo[key] == e {
-					delete(r.sampledMemo, key)
-				}
-				r.mu.Unlock()
-			}
-			close(e.done)
-			return e.rep, e.err
-		}
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-			if !canceled(e.err) {
-				r.mu.Lock()
-				r.hits++
-				r.mu.Unlock()
-				return e.rep, e.err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	t := task[*sample.Report]{key: key, job: jobOf(cfg, key.config, key.workload, false)}
+	if ss, ok := r.Store.(SampledStore); ok {
+		t.store = sampledStore{ss, key}
 	}
+	t.simulate = func(jctx context.Context) (*sample.Report, uint64, error) {
+		return runSampled(jctx, r.checkpoints(), cfg, w, opts.Budget, p, t.job)
+	}
+	return t.memoize(ctx, r)
 }
 
-// resolveSampled answers one sampled memo miss: disk first when the store
-// speaks sampled, then computation, writing persistable results back.
-func (r *Runner) resolveSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, p sample.Params, key jobKey) (*sample.Report, error) {
-	ss, _ := r.Store.(SampledStore)
-	if ss != nil {
-		if rep, f, ok := ss.LookupSampled(key.config, key.workload, key.budget, key.sample); ok {
-			r.mu.Lock()
-			r.storeHits++
-			r.mu.Unlock()
-			if f != nil {
-				return nil, f
-			}
-			return rep, nil
-		}
-		r.mu.Lock()
-		r.storeMisses++
-		r.mu.Unlock()
-	}
-	rep, err := r.computeSampled(ctx, cfg, w, opts, p, key)
-	if ss != nil && !r.StoreReadOnly {
-		r.persistSampled(ss, key, rep, err)
-	}
-	return rep, err
+// sampledStore is a SampledStore bound to one job's coordinates.
+type sampledStore struct {
+	st  SampledStore
+	key jobKey
 }
 
-// persistSampled mirrors persist for sampled estimates.
-func (r *Runner) persistSampled(ss SampledStore, key jobKey, rep *sample.Report, err error) {
-	if err == nil {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = ss.SaveSampled(key.config, key.workload, key.budget, key.sample, rep, nil)
-		return
-	}
-	var f *simfault.Fault
-	if errors.As(err, &f) && f.Persistable() {
-		//aurora:allow(fault, a failed persist must fail neither job nor sweep; the store counts it in Stats.PutErrors)
-		_ = ss.SaveSampled(key.config, key.workload, key.budget, key.sample, nil, f)
-	}
+func (s sampledStore) Lookup() (*sample.Report, *simfault.Fault, bool) {
+	return s.st.LookupSampled(s.key.config, s.key.workload, s.key.budget, s.key.sample)
 }
 
-// computeSampled computes one distinct sampled job: pool admission, per-job
-// deadline, checkpoint sharing, and the fault boundary.
-func (r *Runner) computeSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, opts Options, p sample.Params, key jobKey) (*sample.Report, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-r.sem }()
+func (s sampledStore) Save(rep *sample.Report, f *simfault.Fault) error {
+	return s.st.SaveSampled(s.key.config, s.key.workload, s.key.budget, s.key.sample, rep, f)
+}
 
-	jctx := ctx
-	if r.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, r.JobTimeout)
-		defer cancel()
-	}
-	job := simfault.Job{
-		Config:      cfg.Name,
-		Fingerprint: key.config,
-		Workload:    key.workload,
-	}
+// checkpoints returns the runner's checkpoint cache, creating it on first
+// use: all configurations of a sweep share one functional pass per
+// (workload, layout, budget).
+func (r *Runner) checkpoints() *sample.CheckpointCache {
 	r.mu.Lock()
-	r.simulated++
+	defer r.mu.Unlock()
 	if r.cpCache == nil {
 		r.cpCache = sample.NewCheckpointCache()
 	}
-	cache := r.cpCache
-	r.mu.Unlock()
-	rep, err := runSampled(jctx, cache, cfg, w, opts.Budget, p, job)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		err = simfault.Deadline(job, 0, r.JobTimeout)
-	}
-	return rep, err
+	return r.cpCache
 }
 
-// runSampled is the sampled fault boundary: a panic inside the VM capture
-// or the replayed timing core comes back as a typed *simfault.Fault.
-func runSampled(ctx context.Context, cache *sample.CheckpointCache, cfg core.Config, w *workloads.Workload, budget uint64, p sample.Params, job simfault.Job) (rep *sample.Report, err error) {
+// runSampled is the sampled fault boundary, for Runner jobs and the root
+// API alike: a panic inside the VM capture or the replayed timing core
+// comes back as a typed *simfault.Fault. cycles reports how far the replay
+// core got, for the fault and for deadline annotation.
+func runSampled(ctx context.Context, cache *sample.CheckpointCache, cfg core.Config, w *workloads.Workload, budget uint64, p sample.Params, job simfault.Job) (rep *sample.Report, cycles uint64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			rep, err = nil, simfault.FromPanic(rec, job, 0, debug.Stack())
+			rep, err = nil, simfault.FromPanic(rec, job, cycles, debug.Stack())
 		}
 	}()
 	cp, err := cache.Get(ctx, w, budget, p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rep, err = cp.Run(ctx, cfg, budget, p)
+	rep, err = cp.RunCounted(ctx, cfg, budget, p, &cycles)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s (sampled): %w", w.Name, cfg.Name, err)
+		return nil, cycles, fmt.Errorf("harness: %s on %s (sampled): %w", w.Name, cfg.Name, err)
 	}
-	return rep, nil
+	return rep, cycles, nil
+}
+
+// SimulateSampled runs one sampled estimate outside any Runner, on a
+// private checkpoint, under the same fault boundary. budget 0 selects the
+// workload's default budget. It is the root API's RunSampledContext path.
+func SimulateSampled(ctx context.Context, cfg core.Config, w *workloads.Workload, budget uint64, p sample.Params) (*sample.Report, error) {
+	job := jobOf(cfg, cfg.Fingerprint(), w.Name, false)
+	budget = effectiveBudget(w, Options{Budget: budget})
+	rep, _, err := runSampled(ctx, sample.NewCheckpointCache(), cfg, w, budget, p.Normalize(), job)
+	return rep, err
 }
 
 // SampledCell is one (model, workload) estimate of a sampled sweep. A

@@ -18,7 +18,7 @@ import (
 //     cycle and subsystem the fault taxonomy (docs/ROBUSTNESS.md) and the
 //     store's persistable-fault split depend on;
 //   - errors returned by the persistence and artifact writers — the
-//     resultstore Save*/Put* family, csv.Writer Write/WriteAll, and the obs
+//     resultstore Save/SaveSampled and its keyed put, csv.Writer Write/WriteAll, and the obs
 //     metric exporters WriteCSV/WriteJSONL/WriteChromeTrace — must not be
 //     discarded with `_ =` or an ignored return. A swallowed Save error
 //     turns "quarantine and recompute" into "silently never persisted";
@@ -46,7 +46,7 @@ type checkedMethod struct {
 
 var checkedMethods = []checkedMethod{
 	{pkg: "resultstore", methods: map[string]bool{
-		"Save": true, "SaveSampled": true, "Put": true, "PutSampled": true,
+		"Save": true, "SaveSampled": true, "put": true,
 	}},
 	// The harness Store interface mirrors the resultstore methods; calls
 	// through the interface resolve to the harness-declared method object.

@@ -28,9 +28,10 @@
 //     *simfault.Fault, and persistence/artifact-writer errors must not be
 //     discarded.
 //
-// An eighth analyzer, waiver, lints the waiver comments themselves, and
-// the stock x/tools passes atomic, copylock, lostcancel, nilfunc and
-// unusedresult run alongside (vendored under third_party/).
+// An eighth analyzer, waiver, lints the waiver comments themselves. The
+// stock vet passes (atomic, copylock, lostcancel, nilfunc, unusedresult
+// and the rest) are not part of the suite: `go vet ./...` runs them from
+// the toolchain in tier-1 and CI.
 //
 // A diagnostic is suppressed by a waiver comment on its line or the line
 // above: //aurora:allow(token, reason), where token is the analyzer's
@@ -47,17 +48,9 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/atomic"
-	"golang.org/x/tools/go/analysis/passes/copylock"
-	"golang.org/x/tools/go/analysis/passes/lostcancel"
-	"golang.org/x/tools/go/analysis/passes/nilfunc"
-	"golang.org/x/tools/go/analysis/passes/unusedresult"
 )
 
-// Analyzers returns the full aurora-lint suite in stable order: the
-// repo-specific analyzers first, then the vendored stock passes (which
-// `go vet` also runs; running them here keeps `make lint` sufficient on
-// its own and feeds their findings into the SARIF export).
+// Analyzers returns the full aurora-lint suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		HotPathAlloc,
@@ -68,11 +61,6 @@ func Analyzers() []*analysis.Analyzer {
 		CtxFlow,
 		FaultPath,
 		Waiver,
-		atomic.Analyzer,
-		copylock.Analyzer,
-		lostcancel.Analyzer,
-		nilfunc.Analyzer,
-		unusedresult.Analyzer,
 	}
 }
 

@@ -237,7 +237,7 @@ func WriteSARIF(w io.Writer, results []VetResult, root string) error {
 }
 
 // ruleDoc returns the analyzer's one-line doc for the SARIF rule table.
-// Unknown rule IDs (stock vet passes run alongside) get a generic line.
+// An unknown rule ID gets a generic line.
 func ruleDoc(name string) string {
 	for _, a := range Analyzers() {
 		if a.Name == name {

@@ -43,7 +43,7 @@ func persist(st *resultstore.Store, key string) error {
 	}
 
 	// Ignored return on an expression statement.
-	st.Put(key) // want `faultpath: error from Put is discarded \(return value is ignored\)`
+	st.Save(key) // want `faultpath: error from Save is discarded \(return value is ignored\)`
 
 	// Parked on the blank identifier.
 	_ = st.Save(key) // want `faultpath: error from Save is discarded \(assigned to _\)`

@@ -1,5 +1,6 @@
 // Package resultstore is the fixture persistence layer: faultpath protects
-// the error results of its Save*/Put* family by package-name match.
+// the error results of its Save/SaveSampled/put family by package-name
+// match.
 package resultstore
 
 // Store persists results.
@@ -22,12 +23,17 @@ func (s *Store) SaveSampled(key string) (int, error) {
 	return 1, nil
 }
 
-// Put persists a raw entry.
-func (s *Store) Put(key string) error {
+// put persists a raw entry; only the package itself can call it.
+func (s *Store) put(key string) error {
 	if s.fail {
 		return errFail
 	}
 	return nil
+}
+
+// Refresh drops the keyed write's error inside the package.
+func (s *Store) Refresh(key string) {
+	s.put(key) // want `faultpath: error from put is discarded \(return value is ignored\)`
 }
 
 // Hint returns nothing: calls to it are never flagged.

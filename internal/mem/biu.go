@@ -121,9 +121,6 @@ func (b *BIU) SpareForPrefetch() bool {
 	return len(b.inflight) <= b.cfg.MaxOutstanding-2
 }
 
-// OutstandingReads returns the number of in-flight read transactions.
-func (b *BIU) OutstandingReads() int { return len(b.inflight) }
-
 // Read starts a line-read transaction for lineAddr at cycle now. The
 // client's LineArrived fires from Tick, with tag echoed back, when the line
 // has fully arrived. The returned cycle is the (deterministic) completion

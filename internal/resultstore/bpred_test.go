@@ -50,16 +50,16 @@ func TestBPredAddressSeparation(t *testing.T) {
 	// default key, nor the reverse.
 	s := mustOpen(t, t.TempDir(), "v")
 	def, gs := bpredKey(t, "folding", "v"), bpredKey(t, "gshare", "v")
-	if err := s.Put(gs, testReport(), nil); err != nil {
+	if err := s.put(gs, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(def); ok {
+	if _, ok := s.get(def); ok {
 		t.Error("default-config lookup served a gshare entry")
 	}
-	if err := s.Put(def, testReport(), nil); err != nil {
+	if err := s.put(def, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, ok := s.Get(gs); !ok || got == nil {
+	if e, ok := s.get(gs); !ok || e.Report == nil {
 		t.Error("gshare entry lost after writing the default entry")
 	}
 }
@@ -76,7 +76,7 @@ func TestBPredDefaultKeysUnchanged(t *testing.T) {
 	// The old writer never knew about BPred: its fingerprint is today's
 	// default fingerprint only if the default truly kept its identity.
 	oldKey := testKey("v-test")
-	if err := old.Put(oldKey, testReport(), nil); err != nil {
+	if err := old.put(oldKey, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,11 +86,11 @@ func TestBPredDefaultKeysUnchanged(t *testing.T) {
 	if k != oldKey {
 		t.Fatalf("default-predictor key drifted from the pre-axis key:\nnew %+v\nold %+v", k, oldKey)
 	}
-	got, f, ok := cur.Get(k)
-	if !ok || f != nil {
-		t.Fatalf("pre-axis entry not served to the default config: ok=%v fault=%v", ok, f)
+	e, ok := cur.get(k)
+	if !ok || e.Report == nil {
+		t.Fatalf("pre-axis entry not served to the default config: ok=%v", ok)
 	}
-	if *got != *testReport() {
+	if got := e.Report; *got != *testReport() {
 		t.Errorf("pre-axis entry corrupted on readback:\ngot  %+v\nwant %+v", got, testReport())
 	}
 }

@@ -66,17 +66,17 @@ func TestSampledNeverAliasesExact(t *testing.T) {
 	if err := s.SaveSampled(fp, "espresso", 250_000, srep.SampleKey, srep, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(exactKey); ok {
+	if _, ok := s.get(exactKey); ok {
 		t.Fatal("exact Get returned a sampled entry")
 	}
 
 	// Both exist: each lookup returns its own kind.
-	if err := s.Put(exactKey, testReport(), nil); err != nil {
+	if err := s.put(exactKey, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, _, ok := s.Get(exactKey)
-	if !ok || rep == nil || rep.Instructions != testReport().Instructions {
-		t.Fatalf("exact Get after both writes: ok=%v rep=%+v", ok, rep)
+	e, ok := s.get(exactKey)
+	if !ok || e.Report == nil || e.Report.Instructions != testReport().Instructions {
+		t.Fatalf("exact get after both writes: ok=%v entry=%+v", ok, e)
 	}
 	got, _, ok := s.LookupSampled(fp, "espresso", 250_000, srep.SampleKey)
 	if !ok || got.CPI != srep.CPI {
@@ -90,9 +90,11 @@ func TestSampledNeverAliasesExact(t *testing.T) {
 	}
 }
 
-// TestSampledKeyRequiredOnBothPaths: the exact write path refuses sampled
-// keys and the sampled write path refuses exact keys, so a coding mistake
-// cannot cross the streams silently.
+// TestSampledKeyRequiredOnBothPaths: the write path refuses a result of the
+// wrong kind for its key — an exact report under a sampled key, a sampled
+// estimate under an exact one — and a payload that is not exactly one
+// result or one fault, so a coding mistake cannot cross the streams
+// silently.
 func TestSampledKeyRequiredOnBothPaths(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v-test")
 	srep := testSampledReport()
@@ -101,21 +103,27 @@ func TestSampledKeyRequiredOnBothPaths(t *testing.T) {
 		Fingerprint: "fp", Workload: "espresso", Budget: 1,
 		Sample: srep.SampleKey, CodeVersion: "v-test",
 	}
-	if err := s.Put(sampledKey, testReport(), nil); err == nil {
-		t.Error("Put accepted a key with a Sample discriminator")
-	} else if !strings.Contains(err.Error(), "PutSampled") {
-		t.Errorf("Put error %q does not point at PutSampled", err)
+	if err := s.put(sampledKey, testReport(), nil, nil); err == nil {
+		t.Error("put accepted an exact report under a key with a Sample discriminator")
+	} else if !strings.Contains(err.Error(), srep.SampleKey) {
+		t.Errorf("put error %q does not name the key's kind", err)
 	}
 
 	exactKey := Key{Fingerprint: "fp", Workload: "espresso", Budget: 1, CodeVersion: "v-test"}
-	if err := s.PutSampled(exactKey, srep, nil); err == nil {
-		t.Error("PutSampled accepted a key without a Sample discriminator")
+	if err := s.put(exactKey, nil, srep, nil); err == nil {
+		t.Error("put accepted a sampled estimate under a key without a Sample discriminator")
 	}
-	if err := s.PutSampled(sampledKey, srep, panicFault()); err == nil {
-		t.Error("PutSampled accepted both a report and a fault")
+	if err := s.put(sampledKey, nil, srep, panicFault()); err == nil {
+		t.Error("put accepted both an estimate and a fault")
 	}
-	if err := s.PutSampled(sampledKey, nil, nil); err == nil {
-		t.Error("PutSampled accepted neither report nor fault")
+	if err := s.put(sampledKey, nil, nil, nil); err == nil {
+		t.Error("put accepted neither estimate nor fault")
+	}
+	if err := s.SaveSampled("fp", "espresso", 1, "", srep, nil); err == nil {
+		t.Error("SaveSampled accepted an empty sample key")
+	}
+	if st := s.Stats(); st.Puts != 0 || st.PutErrors != 5 {
+		t.Errorf("stats %+v, want 0 puts / 5 put errors", st)
 	}
 }
 

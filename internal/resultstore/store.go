@@ -139,7 +139,7 @@ func (e entry) sum() (string, error) {
 	return "sha256:" + hex.EncodeToString(s[:]), nil
 }
 
-// Sentinel errors for callers that care why a Put was refused.
+// Sentinel errors for callers that care why a Save was refused.
 var (
 	ErrReadOnly       = errors.New("resultstore: store is read-only")
 	ErrNotPersistable = errors.New("resultstore: fault is environment-dependent, not persistable")
@@ -206,7 +206,7 @@ func (s *Store) Dir() string { return s.dir }
 // Version returns the code version this store handle keys entries with.
 func (s *Store) Version() string { return s.version }
 
-// ReadOnly reports whether Put is refused.
+// ReadOnly reports whether writes are refused.
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // Stats returns a snapshot of the store counters.
@@ -220,13 +220,15 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// key builds the full store key for the runner-facing job coordinates.
-func (s *Store) key(fingerprint, workload string, budget uint64, scheduled bool) Key {
+// key builds the full store key for the runner-facing job coordinates;
+// sampleKey is empty for exact jobs.
+func (s *Store) key(fingerprint, workload string, budget uint64, scheduled bool, sampleKey string) Key {
 	return Key{
 		Fingerprint: fingerprint,
 		Workload:    workload,
 		Budget:      budget,
 		Scheduled:   scheduled,
+		Sample:      sampleKey,
 		CodeVersion: s.version,
 	}
 }
@@ -244,40 +246,65 @@ func (s *Store) path(k Key) string {
 // code version, or an entry that failed verification (which is quarantined
 // on the way out).
 func (s *Store) Lookup(fingerprint, workload string, budget uint64, scheduled bool) (*core.Report, *simfault.Fault, bool) {
-	return s.Get(s.key(fingerprint, workload, budget, scheduled))
-}
-
-// Get returns the exact-run entry stored under k, verifying the checksum
-// and the embedded key before trusting it. k must be an exact key
-// (Sample empty); sampled entries are served by GetSampled.
-func (s *Store) Get(k Key) (*core.Report, *simfault.Fault, bool) {
-	if k.Sample != "" {
-		s.misses.Add(1)
-		return nil, nil, false
-	}
-	e, ok := s.read(k)
+	e, ok := s.get(s.key(fingerprint, workload, budget, scheduled, ""))
 	if !ok {
 		return nil, nil, false
 	}
-	switch {
-	case e.Report != nil && e.Fault == nil && e.Sampled == nil:
-		s.hits.Add(1)
-		return e.Report, nil, true
-	case e.Fault != nil && e.Report == nil && e.Sampled == nil && e.Fault.Fault().Persistable():
-		s.hits.Add(1)
-		return nil, e.Fault.Fault(), true
-	default:
-		// Exactly one payload of the kind the key names, and never an
-		// environment-dependent fault: anything else is a malformed write.
-		s.quarantine(s.path(k), "invalid payload")
-		return nil, nil, false
-	}
+	return e.Report, e.fault(), true
 }
 
-// read loads and verifies the entry stored under k: checksum first, then
-// the embedded key. Anything that fails verification is quarantined and
+// Sampled-mode persistence. A sampled estimate is just as deterministic as
+// an exact report — a pure function of (config, workload, budget, sampling
+// parameters, code version) — so it is stored the same way, but under a key
+// whose Sample field carries sample.Params.Key(). The discriminator is part
+// of the content address, so sampled estimates and exact results can never
+// alias: asking for one can only ever return that kind. Sampled runs never
+// combine with the §6 scheduling pass (the harness rejects it), so their
+// keys always have Scheduled false.
+
+// LookupSampled implements the harness SampledStore contract: it returns
+// the stored estimate or typed fault for the sampled job coordinates.
+// sampleKey must be non-empty (sample.Params.Key()); an empty one names no
+// sampled job and misses.
+func (s *Store) LookupSampled(fingerprint, workload string, budget uint64, sampleKey string) (*sample.Report, *simfault.Fault, bool) {
+	if sampleKey == "" {
+		s.misses.Add(1)
+		return nil, nil, false
+	}
+	e, ok := s.get(s.key(fingerprint, workload, budget, false, sampleKey))
+	if !ok {
+		return nil, nil, false
+	}
+	return e.Sampled, e.fault(), true
+}
+
+// valid reports whether e holds exactly one payload of the kind its key
+// names: an exact key (empty Sample) a Report xor a Fault, a sampled key a
+// Sampled estimate xor a Fault — and a fault only if it is persistable.
+func (e *entry) valid() bool {
+	result, foreign := e.Report != nil, e.Sampled != nil
+	if e.Key.Sample != "" {
+		result, foreign = foreign, result
+	}
+	if foreign || result == (e.Fault != nil) {
+		return false
+	}
+	return e.Fault == nil || e.Fault.Fault().Persistable()
+}
+
+// fault rebuilds the entry's typed fault, nil when it holds a result.
+func (e *entry) fault() *simfault.Fault {
+	if e.Fault == nil {
+		return nil
+	}
+	return e.Fault.Fault()
+}
+
+// get loads and verifies the entry stored under k — checksum first, then
+// the embedded key, then a payload of the kind k names (see valid) — and
+// counts the hit. Anything that fails verification is quarantined and
 // reported as a miss.
-func (s *Store) read(k Key) (*entry, bool) {
+func (s *Store) get(k Key) (*entry, bool) {
 	path := s.path(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -300,6 +327,13 @@ func (s *Store) read(k Key) (*entry, bool) {
 		s.quarantine(path, "key mismatch")
 		return nil, false
 	}
+	if !e.valid() {
+		// Exactly one payload of the kind the key names, and never an
+		// environment-dependent fault: anything else is a malformed write.
+		s.quarantine(path, "invalid payload")
+		return nil, false
+	}
+	s.hits.Add(1)
 	return &e, true
 }
 
@@ -316,42 +350,43 @@ func (s *Store) quarantine(path, _ string) {
 // Environment-dependent faults are refused (ErrNotPersistable); see
 // simfault.Fault.Persistable.
 func (s *Store) Save(fingerprint, workload string, budget uint64, scheduled bool, rep *core.Report, f *simfault.Fault) error {
-	return s.Put(s.key(fingerprint, workload, budget, scheduled), rep, f)
+	return s.put(s.key(fingerprint, workload, budget, scheduled, ""), rep, nil, f)
 }
 
-// Put writes one entry atomically: marshal, temp file in the final
-// directory, rename. Exactly one of rep and f must be non-nil.
-func (s *Store) Put(k Key, rep *core.Report, f *simfault.Fault) error {
-	err := s.put(k, rep, f)
-	if err != nil {
+// SaveSampled implements the harness SampledStore contract: persist one
+// finished sampled job. sampleKey must be non-empty.
+func (s *Store) SaveSampled(fingerprint, workload string, budget uint64, sampleKey string, rep *sample.Report, f *simfault.Fault) error {
+	if sampleKey == "" {
 		s.putErrors.Add(1)
-	} else {
-		s.puts.Add(1)
+		return errors.New("resultstore: sampled entry requires a non-empty Sample key")
 	}
-	return err
+	return s.put(s.key(fingerprint, workload, budget, false, sampleKey), nil, rep, f)
 }
 
-func (s *Store) put(k Key, rep *core.Report, f *simfault.Fault) error {
-	if k.Sample != "" {
-		return errors.New("resultstore: sampled key requires PutSampled")
-	}
-	if (rep == nil) == (f == nil) {
-		return errors.New("resultstore: exactly one of report and fault must be set")
-	}
-	e := entry{Key: k, Report: rep}
-	if f != nil {
-		e.Fault = recordFault(f)
-	}
-	return s.write(k, e, f)
-}
-
-// write validates the shared put invariants and lands e atomically.
-func (s *Store) write(k Key, e entry, f *simfault.Fault) error {
+// put writes one entry atomically: marshal, temp file in the final
+// directory, rename. Exactly one of rep, est and f must be set, and a
+// result must be of the kind k names: rep for an exact key, est for a
+// sampled one (see valid). Every call counts in Puts or PutErrors.
+func (s *Store) put(k Key, rep *core.Report, est *sample.Report, f *simfault.Fault) (err error) {
+	defer func() {
+		if err != nil {
+			s.putErrors.Add(1)
+		} else {
+			s.puts.Add(1)
+		}
+	}()
 	if s.readOnly {
 		return ErrReadOnly
 	}
 	if f != nil && !f.Persistable() {
 		return ErrNotPersistable
+	}
+	e := entry{Key: k, Report: rep, Sampled: est}
+	if f != nil {
+		e.Fault = recordFault(f)
+	}
+	if !e.valid() {
+		return fmt.Errorf("resultstore: key (sample %q) needs exactly one result of its kind or a fault", k.Sample)
 	}
 	sum, err := e.sum()
 	if err != nil {

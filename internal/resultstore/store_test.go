@@ -62,20 +62,20 @@ func TestPutGetRoundTrip(t *testing.T) {
 	k := testKey("v-test")
 	want := testReport()
 
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s.Put(k, want, nil); err != nil {
+	if err := s.put(k, want, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh handle on the same directory models a fresh process.
 	s2 := mustOpen(t, dir, "v-test")
-	got, f, ok := s2.Get(k)
-	if !ok || f != nil {
-		t.Fatalf("Get after Put: ok=%v fault=%v", ok, f)
+	e, ok := s2.get(k)
+	if !ok || e.Report == nil {
+		t.Fatalf("get after put: ok=%v", ok)
 	}
-	if *got != *want {
+	if got := e.Report; *got != *want {
 		t.Errorf("round-tripped report differs:\ngot  %+v\nwant %+v", got, want)
 	}
 	if st := s2.Stats(); st.Hits != 1 || st.Misses != 0 || st.Corrupt != 0 {
@@ -110,7 +110,7 @@ func TestCodeVersionInvalidatesEntries(t *testing.T) {
 func TestKeySeparation(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v")
 	base := testKey("v")
-	if err := s.Put(base, testReport(), nil); err != nil {
+	if err := s.put(base, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, k := range map[string]Key{
@@ -119,7 +119,7 @@ func TestKeySeparation(t *testing.T) {
 		"scheduled": {Fingerprint: base.Fingerprint, Workload: base.Workload, Budget: base.Budget, Scheduled: true, CodeVersion: "v"},
 		"config":    {Fingerprint: "other", Workload: base.Workload, Budget: base.Budget, CodeVersion: "v"},
 	} {
-		if _, _, ok := s.Get(k); ok {
+		if _, ok := s.get(k); ok {
 			t.Errorf("key differing in %s hit the base entry", name)
 		}
 	}
@@ -130,14 +130,15 @@ func TestPersistableFaultRoundTrip(t *testing.T) {
 	s := mustOpen(t, dir, "v")
 	k := testKey("v")
 	orig := panicFault()
-	if err := s.Put(k, nil, orig); err != nil {
+	if err := s.put(k, nil, nil, orig); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, f, ok := mustOpen(t, dir, "v").Get(k)
-	if !ok || rep != nil || f == nil {
-		t.Fatalf("fault entry: ok=%v rep=%v fault=%v", ok, rep, f)
+	e, ok := mustOpen(t, dir, "v").get(k)
+	if !ok || e.Report != nil || e.Fault == nil {
+		t.Fatalf("fault entry: ok=%v entry=%+v", ok, e)
 	}
+	f := e.fault()
 	if f.Subsystem != orig.Subsystem || f.Cycle != orig.Cycle || f.Workload != orig.Workload {
 		t.Errorf("fault lost coordinates: got %+v want %+v", f, orig)
 	}
@@ -152,10 +153,10 @@ func TestPersistableFaultRoundTrip(t *testing.T) {
 func TestDeadlineFaultRefused(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v")
 	dl := simfault.Deadline(simfault.Job{Workload: "espresso"}, 500, time.Second)
-	if err := s.Put(testKey("v"), nil, dl); !errors.Is(err, ErrNotPersistable) {
+	if err := s.put(testKey("v"), nil, nil, dl); !errors.Is(err, ErrNotPersistable) {
 		t.Fatalf("Put(deadline fault) = %v, want ErrNotPersistable", err)
 	}
-	if _, _, ok := s.Get(testKey("v")); ok {
+	if _, ok := s.get(testKey("v")); ok {
 		t.Fatal("refused put still produced an entry")
 	}
 	if st := s.Stats(); st.PutErrors != 1 {
@@ -175,7 +176,7 @@ func TestDeadlineFaultEntryQuarantined(t *testing.T) {
 	}}
 	writeRawEntry(t, s, k, e)
 
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("environment-dependent fault served from the store")
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
@@ -220,7 +221,7 @@ func TestTruncatedEntryDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "v")
 	k := testKey("v")
-	if err := s.Put(k, testReport(), nil); err != nil {
+	if err := s.put(k, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(s.path(k))
@@ -231,16 +232,16 @@ func TestTruncatedEntryDegradesToMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("truncated entry served as a hit")
 	}
 	assertQuarantined(t, s, k)
 
 	// Recompute-and-rewrite proceeds normally over the quarantined file.
-	if err := s.Put(k, testReport(), nil); err != nil {
+	if err := s.put(k, testReport(), nil, nil); err != nil {
 		t.Fatalf("rewrite after quarantine: %v", err)
 	}
-	if _, _, ok := s.Get(k); !ok {
+	if _, ok := s.get(k); !ok {
 		t.Fatal("rewritten entry missed")
 	}
 }
@@ -249,7 +250,7 @@ func TestBitFlippedEntryDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "v")
 	k := testKey("v")
-	if err := s.Put(k, testReport(), nil); err != nil {
+	if err := s.put(k, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(s.path(k))
@@ -268,7 +269,7 @@ func TestBitFlippedEntryDegradesToMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("bit-flipped entry passed checksum verification")
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
@@ -287,7 +288,7 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	e := entry{Key: other, Report: testReport()}
 	writeRawEntry(t, s, k, e) // filed under k, claims to answer `other`
 
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("entry with mismatched embedded key served")
 	}
 	assertQuarantined(t, s, k)
@@ -308,7 +309,7 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if err := s.Put(k, rep, nil); err != nil {
+				if err := s.put(k, rep, nil, nil); err != nil {
 					t.Errorf("concurrent Put: %v", err)
 					return
 				}
@@ -318,8 +319,8 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if got, _, ok := s.Get(k); ok && got.Cycles != rep.Cycles {
-					t.Errorf("reader saw torn entry: %+v", got)
+				if e, ok := s.get(k); ok && e.Report.Cycles != rep.Cycles {
+					t.Errorf("reader saw torn entry: %+v", e.Report)
 					return
 				}
 			}
@@ -330,7 +331,7 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 	if st := s.Stats(); st.Corrupt != 0 {
 		t.Errorf("racing identical writers produced corruption: %+v", st)
 	}
-	if _, _, ok := s.Get(k); !ok {
+	if _, ok := s.get(k); !ok {
 		t.Fatal("entry missing after the race")
 	}
 	files, err := filepath.Glob(filepath.Join(filepath.Dir(s.path(k)), "*"))
@@ -346,7 +347,7 @@ func TestReadOnlyStoreRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, "v")
 	k := testKey("v")
-	if err := w.Put(k, testReport(), nil); err != nil {
+	if err := w.put(k, testReport(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -354,10 +355,10 @@ func TestReadOnlyStoreRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := ro.Get(k); !ok {
+	if _, ok := ro.get(k); !ok {
 		t.Fatal("read-only store missed an existing entry")
 	}
-	if err := ro.Put(k, testReport(), nil); !errors.Is(err, ErrReadOnly) {
+	if err := ro.put(k, testReport(), nil, nil); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only Put = %v, want ErrReadOnly", err)
 	}
 }
@@ -384,13 +385,13 @@ func TestUnwritableStoreDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey("v")
-	if err := s.Put(k, testReport(), nil); err == nil {
+	if err := s.put(k, testReport(), nil, nil); err == nil {
 		t.Fatal("Put into an unwritable tree reported success")
 	}
 	if st := s.Stats(); st.PutErrors != 1 {
 		t.Errorf("stats %+v, want the failed put counted", st)
 	}
-	if _, _, ok := s.Get(k); ok {
+	if _, ok := s.get(k); ok {
 		t.Fatal("failed put produced a readable entry")
 	}
 }

@@ -283,16 +283,20 @@ func NewCheckpointCache() *CheckpointCache {
 }
 
 // Get returns the checkpoint for (w, budget, p), building it on first use.
+// A finished checkpoint is served even to a requester whose context has
+// ended: handing it over costs nothing, and the replay polls the context
+// itself, so a job's deadline fault then names the replay cycle it hit.
 func (c *CheckpointCache) Get(ctx context.Context, w *workloads.Workload, budget uint64, p Params) (*Checkpoint, error) {
 	p = p.Normalize()
 	key := cpKey{workload: w.Name, warmUp: p.WarmUp, interval: p.Interval, window: p.Window, budget: budget}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		c.mu.Lock()
 		e, ok := c.m[key]
 		if !ok {
+			if err := ctx.Err(); err != nil {
+				c.mu.Unlock()
+				return nil, err
+			}
 			e = &cpEntry{done: make(chan struct{})}
 			c.m[key] = e
 			c.mu.Unlock()
@@ -312,12 +316,16 @@ func (c *CheckpointCache) Get(ctx context.Context, w *workloads.Workload, budget
 		c.mu.Unlock()
 		select {
 		case <-e.done:
-			if e.err == nil {
-				return e.cp, nil
+		default:
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			// The builder failed; loop and retry under our own context.
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
+		if e.err == nil {
+			return e.cp, nil
+		}
+		// The builder failed; loop and retry under our own context.
 	}
 }

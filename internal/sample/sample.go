@@ -106,6 +106,15 @@ const ctxCheckMask = 1<<12 - 1
 // silently wrong estimate. (WindowWarm, Confidence and BiasGuard are free:
 // they shape the estimator, not the capture.)
 func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p Params) (*Report, error) {
+	var cycles uint64
+	return cp.RunCounted(ctx, cfg, budget, p, &cycles)
+}
+
+// RunCounted is Run that also stores in *cycles how far the replay core
+// got. The count is written on every exit, a failure or a panic included,
+// so a fault boundary around the call can say at which cycle the job
+// stopped.
+func (cp *Checkpoint) RunCounted(ctx context.Context, cfg core.Config, budget uint64, p Params, cycles *uint64) (*Report, error) {
 	p = p.Normalize()
 	if !cp.Matches(cp.Workload, budget, p) {
 		return nil, fmt.Errorf(
@@ -124,6 +133,7 @@ func (cp *Checkpoint) Run(ctx context.Context, cfg core.Config, budget uint64, p
 	if err != nil {
 		return nil, err
 	}
+	defer func() { *cycles = proc.Cycles() }()
 
 	rep := &Report{
 		Workload:   cp.Workload,
